@@ -314,7 +314,9 @@ BddRef Manager::RestrictRec(BddRef f, Var v, bool value, WorkerSlot& w) {
   if (CacheLookup(w, key, &cached)) return cached ^ c;
   BddRef lo = RestrictRec(n.low, v, value, w);
   BddRef hi = RestrictRec(n.high, v, value, w);
-  BddRef r = MakeNode(n.var, lo, hi);
+  // Unchanged cofactors: canonicity makes g itself the result, so skip the
+  // unique-table probe.
+  BddRef r = (lo == n.low && hi == n.high) ? g : MakeNode(n.var, lo, hi);
   CacheStore(w, key, r);
   return r ^ c;
 }

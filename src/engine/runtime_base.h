@@ -169,11 +169,12 @@ class RuntimeBase {
   // patches for its materialized scan caches. Logging defaults to off so
   // runs without live caches (all benchmarks) never pay for it.
   //
-  // Sharded drains keep one log per router shard (indexed by the worker's
-  // Router::current_shard()), so parallel workers never contend; all events
-  // for one tuple land in its owner node's shard log, preserving the
-  // per-tuple chronology the caching layer's last-write-wins compression
-  // needs.
+  // Sharded drains keep one log per router shard, indexed by the shard of
+  // the node that owns the tuple, so parallel workers (each draining only
+  // its own shard's nodes) never contend. All events for one tuple land in
+  // that one log — including removals made between supersteps, outside any
+  // worker — preserving the per-tuple chronology the caching layer's
+  // last-write-wins compression needs.
   void SetViewDeltaLogging(bool enabled) {
     log_view_deltas_ = enabled;
     if (!enabled) {
@@ -238,13 +239,13 @@ class RuntimeBase {
   // `num_nodes`. Called by OnTopologyGrown overrides.
   void GrowKillRouting(int num_nodes);
 
-  // Records one recursive-view membership change (no-op unless logging is
-  // enabled). Runtimes call this at every point a tuple enters or leaves
-  // their fixpoint view. Safe from parallel shard workers: each appends to
-  // its own shard's log.
-  void LogViewDelta(const Tuple& tuple, bool added) {
+  // Records one recursive-view membership change of a tuple stored at node
+  // `at` (no-op unless logging is enabled). Runtimes call this at every
+  // point a tuple enters or leaves their fixpoint view. Safe from parallel
+  // shard workers: each appends to its own shard's log.
+  void LogViewDelta(LogicalNode at, const Tuple& tuple, bool added) {
     if (log_view_deltas_) {
-      view_delta_logs_[static_cast<size_t>(Router::current_shard())]
+      view_delta_logs_[static_cast<size_t>(router().ShardOf(at))]
           .emplace_back(tuple, added);
     }
   }

@@ -130,27 +130,6 @@ const AggViewSpec* FindAggView(const PlanSpec& plan, const std::string& name) {
   return nullptr;
 }
 
-// Scan dispatch shared by the adapters: the recursive view by name, else a
-// declared aggregate view evaluated over it. Aggregate views read the
-// recursive view through the adapter's *cached* Scan, so they re-derive
-// from the incrementally patched rows instead of sweeping the runtime.
-template <typename ScanFn>
-StatusOr<std::vector<Tuple>> ScanByName(const QueryRuntime& rt,
-                                        const PlanSpec& plan,
-                                        const std::string& view,
-                                        ScanFn&& scan_view) {
-  if (view == plan.view) return scan_view();
-  if (const AggViewSpec* agg = FindAggView(plan, view)) {
-    StatusOr<std::vector<Tuple>> rows = rt.Scan(plan.view);
-    if (!rows.ok()) return rows.status();
-    return EvalAggView(*agg, rows.value());
-  }
-  return Status::NotFound("unknown view '" + view + "' (plan defines '" +
-                          plan.view + "' and " +
-                          std::to_string(plan.agg_views.size()) +
-                          " aggregate view(s))");
-}
-
 // --- Reachable (paper Query 1) ---------------------------------------------
 
 class ReachableAdapter : public QueryRuntime {
@@ -191,16 +170,14 @@ class ReachableAdapter : public QueryRuntime {
   }
 
   StatusOr<std::vector<Tuple>> ScanView(const std::string& view) const override {
-    return ScanByName(*this, plan_, view,
-                      [this]() -> StatusOr<std::vector<Tuple>> {
-      std::vector<Tuple> out;
-      for (int src = 0; src < rt_.num_logical(); ++src) {
-        for (LogicalNode dst : rt_.ReachableFrom(src)) {
-          out.push_back(Tuple::OfInts({src, dst}));
-        }
+    if (view != plan_.view) return ScanAggView(plan_, view);
+    std::vector<Tuple> out;
+    for (int src = 0; src < rt_.num_logical(); ++src) {
+      for (LogicalNode dst : rt_.ReachableFrom(src)) {
+        out.push_back(Tuple::OfInts({src, dst}));
       }
-      return out;
-    });
+    }
+    return out;
   }
 
   StatusOr<std::vector<Tuple>> Explain(const Tuple& view_tuple) const override {
@@ -363,22 +340,20 @@ class ShortestPathAdapter : public QueryRuntime {
   }
 
   StatusOr<std::vector<Tuple>> ScanView(const std::string& view) const override {
-    return ScanByName(*this, plan_, view,
-                      [this]() -> StatusOr<std::vector<Tuple>> {
-      // The materialized path view is pruned by aggregate selection; its
-      // stable projection is the min-cost tuple per (src, dst).
-      std::vector<Tuple> out;
-      for (int src = 0; src < rt_.num_logical(); ++src) {
-        for (int dst = 0; dst < rt_.num_logical(); ++dst) {
-          std::optional<double> cost = rt_.MinCost(src, dst);
-          if (!cost.has_value()) continue;
-          out.push_back(Tuple({Value(static_cast<int64_t>(src)),
-                               Value(static_cast<int64_t>(dst)),
-                               Value(*cost)}));
-        }
+    if (view != plan_.view) return ScanAggView(plan_, view);
+    // The materialized path view is pruned by aggregate selection; its
+    // stable projection is the min-cost tuple per (src, dst).
+    std::vector<Tuple> out;
+    for (int src = 0; src < rt_.num_logical(); ++src) {
+      for (int dst = 0; dst < rt_.num_logical(); ++dst) {
+        std::optional<double> cost = rt_.MinCost(src, dst);
+        if (!cost.has_value()) continue;
+        out.push_back(Tuple({Value(static_cast<int64_t>(src)),
+                             Value(static_cast<int64_t>(dst)),
+                             Value(*cost)}));
       }
-      return out;
-    });
+    }
+    return out;
   }
 
   StatusOr<Tuple> Lookup(const std::string& view,
@@ -510,16 +485,14 @@ class RegionAdapter : public QueryRuntime {
   }
 
   StatusOr<std::vector<Tuple>> ScanView(const std::string& view) const override {
-    return ScanByName(*this, plan_, view,
-                      [this]() -> StatusOr<std::vector<Tuple>> {
-      std::vector<Tuple> out;
-      for (int r = 0; r < rt_.num_regions(); ++r) {
-        for (int member : rt_.RegionMembers(r)) {
-          out.push_back(Tuple::OfInts({r, member}));
-        }
+    if (view != plan_.view) return ScanAggView(plan_, view);
+    std::vector<Tuple> out;
+    for (int r = 0; r < rt_.num_regions(); ++r) {
+      for (int member : rt_.RegionMembers(r)) {
+        out.push_back(Tuple::OfInts({r, member}));
       }
-      return out;
-    });
+    }
+    return out;
   }
 
   StatusOr<std::vector<Tuple>> Explain(const Tuple& view_tuple) const override {
@@ -905,8 +878,24 @@ StatusOr<QueryRuntime::ViewCache*> QueryRuntime::CacheFor(
   cache.rows = std::move(rows).value();
   // Adapters enumerate sorted; enforce the invariant incremental patching
   // relies on regardless.
-  std::sort(cache.rows.begin(), cache.rows.end());
+  if (!std::is_sorted(cache.rows.begin(), cache.rows.end())) {
+    std::sort(cache.rows.begin(), cache.rows.end());
+  }
   return &cache;
+}
+
+StatusOr<std::vector<Tuple>> QueryRuntime::ScanAggView(
+    const PlanSpec& plan, const std::string& view) const {
+  const AggViewSpec* agg = FindAggView(plan, view);
+  if (agg == nullptr) {
+    return Status::NotFound("unknown view '" + view + "' (plan defines '" +
+                            plan.view + "' and " +
+                            std::to_string(plan.agg_views.size()) +
+                            " aggregate view(s))");
+  }
+  StatusOr<ViewCache*> rows = CacheFor(plan.view);
+  if (!rows.ok()) return rows.status();
+  return EvalAggView(*agg, rows.value()->rows);
 }
 
 StatusOr<std::vector<Tuple>> QueryRuntime::Scan(const std::string& view) const {
@@ -952,54 +941,69 @@ StatusOr<std::vector<Tuple>> QueryRuntime::Explain(
 
 std::vector<Tuple> EvalAggView(const AggViewSpec& spec,
                                const std::vector<Tuple>& view_tuples) {
-  struct Acc {
+  auto group_less = [&spec](const Tuple* a, const Tuple* b) {
+    for (size_t col : spec.group_cols) {
+      if (a->at(col) < b->at(col)) return true;
+      if (b->at(col) < a->at(col)) return false;
+    }
+    return false;
+  };
+  std::vector<const Tuple*> order;
+  order.reserve(view_tuples.size());
+  for (const Tuple& row : view_tuples) order.push_back(&row);
+  // Cached rows are sorted, so a leading-prefix grouping (regionSizes,
+  // minCost) is already in group order. The sort is stable: each group
+  // folds its rows in input order, which fixes the floating-point sum and
+  // which of several equal min/max values is kept.
+  if (!std::is_sorted(order.begin(), order.end(), group_less)) {
+    std::stable_sort(order.begin(), order.end(), group_less);
+  }
+  std::vector<Tuple> out;
+  size_t end = 0;
+  for (size_t begin = 0; begin < order.size(); begin = end) {
     int64_t count = 0;
     double sum = 0;
     bool sum_is_int = true;
-    std::optional<Value> best;  // min / max.
-  };
-  std::map<Tuple, Acc> groups;
-  for (const Tuple& row : view_tuples) {
-    std::vector<Value> key;
-    key.reserve(spec.group_cols.size());
-    for (size_t col : spec.group_cols) key.push_back(row.at(col));
-    Acc& acc = groups[Tuple(std::move(key))];
-    acc.count += 1;
-    const Value& v = row.at(spec.value_col);
-    if (spec.agg == datalog::AggKind::kSum) {
-      if (v.is_double()) {
-        acc.sum_is_int = false;
-        acc.sum += v.AsDouble();
-      } else if (v.is_int()) {
-        acc.sum += static_cast<double>(v.AsInt());
+    const Value* best = nullptr;  // min / max.
+    for (end = begin;
+         end < order.size() && !group_less(order[begin], order[end]); ++end) {
+      const Value& v = order[end]->at(spec.value_col);
+      count += 1;
+      switch (spec.agg) {
+        case datalog::AggKind::kSum:
+          if (v.is_double()) {
+            sum_is_int = false;
+            sum += v.AsDouble();
+          } else if (v.is_int()) {
+            sum += static_cast<double>(v.AsInt());
+          }
+          break;
+        case datalog::AggKind::kMin:
+          if (best == nullptr || v < *best) best = &v;
+          break;
+        case datalog::AggKind::kMax:
+          if (best == nullptr || *best < v) best = &v;
+          break;
+        case datalog::AggKind::kCount:
+        case datalog::AggKind::kNone:
+          break;
       }
     }
-    if (spec.agg == datalog::AggKind::kMin || spec.agg == datalog::AggKind::kMax) {
-      if (!acc.best.has_value() ||
-          (spec.agg == datalog::AggKind::kMin ? v < *acc.best
-                                              : *acc.best < v)) {
-        acc.best = v;
-      }
-    }
-  }
-  std::vector<Tuple> out;
-  out.reserve(groups.size());
-  for (const auto& [key, acc] : groups) {
-    std::vector<Value> vals(key.values().begin(), key.values().end());
+    // The group key is taken from the group's first row.
+    Tuple::Values vals;
+    vals.reserve(spec.group_cols.size() + 1);
+    for (size_t col : spec.group_cols) vals.push_back(order[begin]->at(col));
     switch (spec.agg) {
       case datalog::AggKind::kCount:
-        vals.push_back(Value(acc.count));
+        vals.push_back(Value(count));
         break;
       case datalog::AggKind::kSum:
-        if (acc.sum_is_int) {
-          vals.push_back(Value(static_cast<int64_t>(acc.sum)));
-        } else {
-          vals.push_back(Value(acc.sum));
-        }
+        vals.push_back(sum_is_int ? Value(static_cast<int64_t>(sum))
+                                  : Value(sum));
         break;
       case datalog::AggKind::kMin:
       case datalog::AggKind::kMax:
-        vals.push_back(*acc.best);
+        vals.push_back(*best);
         break;
       case datalog::AggKind::kNone:
         break;

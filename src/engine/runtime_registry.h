@@ -53,11 +53,13 @@ struct EngineOptions {
 // Delete only enqueue updates (view state cannot change before Apply), and
 // Apply patches the cached rows and indexes from the run's view deltas —
 // the runtime's log of tuples that entered or left the view — instead of
-// rebuilding from scratch. Dependent (aggregate) view caches re-derive
-// lazily from the patched recursive rows, never from a runtime sweep. The
-// only full-rebuild paths are soft-state TTL expiry
-// (InvalidateCachesForExpiry), aborted runs, and adapters that opt out of
-// delta reporting.
+// rebuilding from scratch. Soft-state TTL expiry is no exception: the
+// session clock enqueues each expired fact as an ordinary Delete, so it is
+// patched from the same delta log. An Apply that changes the recursive view
+// drops the dependent (aggregate) view caches; the next read re-derives them
+// in one pass over the patched rows, read in place — never from a runtime
+// sweep. The only full-rebuild paths are aborted runs and adapters that opt
+// out of delta reporting.
 class QueryRuntime {
  public:
   virtual ~QueryRuntime() = default;
@@ -73,11 +75,6 @@ class QueryRuntime {
   // several co-resident views calls the three phases itself so every view's
   // delta log is armed before the shared queue drains.
   Status Apply();
-
-  // Soft-state TTL expiry hook (called by the engine clock): drops every
-  // materialized cache. Expiry-driven deletions renew base variables
-  // outside the normal delta flow, so this stays a full rebuild.
-  void InvalidateCachesForExpiry() { InvalidateViewCaches(); }
 
   // All tuples of the recursive view or of a declared aggregate view, in
   // deterministic (sorted) order. NotFound for unknown view names. Served
@@ -120,11 +117,17 @@ class QueryRuntime {
                             const Tuple& fact) = 0;
   virtual Status ApplyUpdates() = 0;
   // Enumerates `view` from runtime state (the expensive partition sweep the
-  // cache amortizes away). Adapters must return rows in sorted order (all
-  // runtimes enumerate sorted today); the cache keeps that invariant under
-  // incremental patching.
+  // cache amortizes away). Adapters should return rows in sorted order (all
+  // runtimes enumerate sorted today, and the cache sorts only when they do
+  // not); the cache keeps that invariant under incremental patching.
   virtual StatusOr<std::vector<Tuple>> ScanView(
       const std::string& view) const = 0;
+
+  // ScanView for the declared aggregate view `view` of `plan`: evaluated in
+  // one pass over the cached (incrementally patched) rows of `plan.view`,
+  // read in place. NotFound when `plan` declares no such view.
+  StatusOr<std::vector<Tuple>> ScanAggView(const datalog::PlanSpec& plan,
+                                           const std::string& view) const;
 
   // --- Incremental maintenance interface -----------------------------------
 
@@ -155,7 +158,7 @@ class QueryRuntime {
                                std::vector<Tuple>* added);
 
   // For adapters whose native accessors mutate view state outside the
-  // wrapped entry points, and for the TTL full-rebuild path.
+  // wrapped entry points, and for runs whose deltas cannot be patched in.
   void InvalidateViewCaches() const { view_caches_.clear(); }
 
  private:
@@ -197,8 +200,12 @@ class QueryRuntime {
 
 // Evaluates a declared aggregate view over the scanned contents of the
 // recursive view (group by group_cols, aggregate value_col). Results are
-// sorted by group. Shared by the adapters; a runtime that maintains the
-// aggregate distributedly (RegionRuntime) converges to the same answer.
+// sorted by group. One run-length pass over the rows in group order: rows
+// already in that order (sorted rows grouped by a leading prefix of their
+// columns) are folded as they are, others through a stable sort of row
+// pointers, so each group folds its rows in input order. Shared by the
+// adapters; a runtime that maintains the aggregate distributedly
+// (RegionRuntime) converges to the same answer.
 std::vector<Tuple> EvalAggView(const datalog::AggViewSpec& spec,
                                const std::vector<Tuple>& view_tuples);
 

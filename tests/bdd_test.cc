@@ -347,6 +347,23 @@ TEST_F(BddTest, NotIsTagFlipWithoutTableTraffic) {
   EXPECT_EQ(mgr_.allocated_nodes(), nodes);
 }
 
+// Restricting on a variable ordered below the whole support (or in a gap
+// of it) leaves every cofactor unchanged: the result is the input ref and
+// the unique table is never probed.
+TEST_F(BddTest, RestrictBelowSupportSkipsUniqueTable) {
+  Rng rng(202);
+  BddRef f = RandomFunction(mgr_, rng, 8);  // Support within vars 0..13.
+  BddRef gap = mgr_.Or(mgr_.And(mgr_.MakeVar(0), mgr_.Not(mgr_.MakeVar(1))),
+                       mgr_.And(mgr_.MakeVar(4), mgr_.MakeVar(5)));
+  const uint64_t probes = mgr_.unique_probes();
+  for (bool value : {false, true}) {
+    EXPECT_EQ(mgr_.Restrict(f, 20, value), f);
+    EXPECT_EQ(mgr_.Restrict(mgr_.Not(f), 20, value), mgr_.Not(f));
+    EXPECT_EQ(mgr_.Restrict(gap, 3, value), gap);
+  }
+  EXPECT_EQ(mgr_.unique_probes(), probes);
+}
+
 TEST_F(BddTest, ThenEdgesAreAlwaysRegular) {
   // The canonicity rule: complement bits live on else-edges and roots only;
   // every interned node's then-edge is a regular (untagged) ref.

@@ -21,6 +21,8 @@
 #include <string>
 #include <vector>
 
+#include <unistd.h>
+
 #include "engine/session.h"
 #include "fault/fault.h"
 
@@ -376,7 +378,9 @@ TEST(CrashRecoveryEdgeTest, RetryBudgetExhaustionSurfacesTheFault) {
 class TornCheckpointTest : public ::testing::Test {
  protected:
   void SetUp() override {
-    path_ = ::testing::TempDir() + "fault_test_torn.snap";
+    // Per-process name: parallel ctest runs each case in its own process.
+    path_ = ::testing::TempDir() + std::to_string(getpid()) +
+            "-fault_test_torn.snap";
     std::remove(path_.c_str());
     std::remove((path_ + ".tmp").c_str());
   }

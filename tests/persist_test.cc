@@ -18,6 +18,8 @@
 #include <string>
 #include <vector>
 
+#include <unistd.h>
+
 #include "bdd/bdd.h"
 #include "common/rng.h"
 #include "engine/session.h"
@@ -54,8 +56,24 @@ constexpr char kRegion[] = R"(
 
 constexpr int kNodes = 12;
 
+// ctest runs every case as its own process, several at once, so a fixed
+// name in the shared TempDir would race; the pid keeps each process's files
+// apart. The files (and any stranded ".tmp" twin) are removed when the
+// process exits.
 std::string TempPath(const char* name) {
-  return std::string(::testing::TempDir()) + "/" + name;
+  struct Cleanup {
+    std::vector<std::string> paths;
+    ~Cleanup() {
+      for (const std::string& p : paths) {
+        std::remove(p.c_str());
+        std::remove((p + ".tmp").c_str());
+      }
+    }
+  };
+  static Cleanup cleanup;
+  cleanup.paths.push_back(std::string(::testing::TempDir()) + "/" +
+                          std::to_string(getpid()) + "-" + name);
+  return cleanup.paths.back();
 }
 
 SensorField TestField() {
